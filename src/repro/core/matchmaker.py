@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..network.simulator import Network
-from ..network.stats import POST, QUERY
 from ..obs.spans import active_tracer
 from .exceptions import ServiceNotFoundError
 from .strategy import MatchMakingStrategy
@@ -156,17 +155,15 @@ class MatchMaker:
         """
         server_id = server_id or f"server-{next(self._server_counter)}@{node}"
         targets = self.post_set(node, port)
-        before = self._network.stats.hops_for(POST)
         outcome = self._network.post(
             node, port, targets, server_id=server_id, mode=self._mode
         )
-        post_hops = self._network.stats.hops_for(POST) - before
         registration = ServerRegistration(
             server_id=server_id,
             port=port,
             node=node,
             posted_at=tuple(sorted(outcome.reached, key=repr)),
-            post_hops=post_hops,
+            post_hops=outcome.hops,
         )
         self._registrations[server_id] = registration
         return registration
@@ -226,11 +223,10 @@ class MatchMaker:
             # The rendezvous resolution itself: Q(j) materialized against
             # the strategy (memoized after first use).
             tracer.event("rendezvous-resolve", nodes=len(targets))
-        before_query = self._network.stats.hops_for(QUERY)
         outcome = self._network.query(
             client_node, port, targets, mode=self._mode, collect_all=collect_all
         )
-        query_hops = self._network.stats.hops_for(QUERY) - before_query
+        query_hops = outcome.query_hops
         freshest = outcome.freshest()
         if tracer is not None:
             tracer.end(
@@ -286,12 +282,7 @@ class MatchMaker:
         # Clean up without charging the instance (snapshot/restore counters).
         snapshot = self._network.stats.snapshot()
         self.deregister_server(registration)
-        self._network.stats.hops.clear()
-        self._network.stats.hops.update(snapshot.hops)
-        self._network.stats.messages.clear()
-        self._network.stats.messages.update(snapshot.messages)
-        self._network.stats.node_load.clear()
-        self._network.stats.node_load.update(snapshot.node_load)
+        self._network.stats.restore_traffic(snapshot)
         return result
 
     def average_cost(

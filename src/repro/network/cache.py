@@ -17,7 +17,7 @@ from collections import OrderedDict
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from ..core.exceptions import CacheOverflowError
-from ..core.types import Address, Port, PostRecord
+from ..core.types import Address, Port, PostRecord, freshest_record
 
 
 class NodeCache:
@@ -79,7 +79,7 @@ class NodeCache:
         per_port = self._records.get(port)
         if not per_port:
             return None
-        return max(per_port.values(), key=lambda r: (r.timestamp, repr(r.address)))
+        return freshest_record(per_port.values())
 
     def lookup_all(self, port: Port) -> List[PostRecord]:
         """All postings for ``port`` (all equivalent servers), freshest

@@ -88,8 +88,9 @@ class DeliveryPlanner:
         Where plan-cache hit/miss events are recorded.
     node_is_up:
         Liveness oracle for ``ideal``-mode plans (the network's
-        :meth:`~repro.network.Network.node_is_up`, which also covers the
-        node object's own liveness flag).
+        :meth:`~repro.network.Network.node_is_up`, which reads the fault
+        plan only).  Every plan is computed against the current fault
+        revision, so the network uses its reached set as is.
     """
 
     def __init__(

@@ -13,7 +13,7 @@ delegate to the one shared implementation instead of six hand-rolled loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, Hashable, Iterable, Iterator, Tuple
 
 from ..obs.registry import CounterMap
@@ -57,31 +57,37 @@ class MessageStats:
     def __post_init__(self) -> None:
         # Plain dicts passed to the constructor (snapshots built from
         # literals, test fixtures) are adopted as counter maps.
-        for name in (
-            "hops", "messages", "node_load", "plan_events", "delivered",
-            "dropped",
-        ):
-            value = getattr(self, name)
+        for name, value in self._families():
             if not isinstance(value, CounterMap):
                 setattr(self, name, CounterMap(value))
 
     def _families(self) -> Tuple[Tuple[str, CounterMap], ...]:
-        return (
-            ("hops", self.hops),
-            ("messages", self.messages),
-            ("node_load", self.node_load),
-            ("plan_events", self.plan_events),
-            ("delivered", self.delivered),
-            ("dropped", self.dropped),
-        )
+        return tuple((f.name, getattr(self, f.name)) for f in fields(self))
 
-    def record(self, category: str, hop_count: int, message_count: int = 1) -> None:
-        """Charge ``hop_count`` hops and ``message_count`` messages to
-        ``category``."""
-        if hop_count < 0 or message_count < 0:
+    def record(
+        self,
+        category: str,
+        hop_count: int,
+        message_count: int = 1,
+        delivered: int = 0,
+        dropped: int = 0,
+        load: Iterable[Hashable] = (),
+    ) -> None:
+        """Charge one delivery to ``category``: hops and messages, the
+        delivered/dropped occurrences of :meth:`record_delivery` and the
+        node load of :meth:`record_load`, in one call."""
+        if hop_count < 0 or message_count < 0 or delivered < 0 or dropped < 0:
             raise ValueError("counts must be non-negative")
-        self.hops.bump(category, hop_count)
-        self.messages.bump(category, message_count)
+        hops, messages = self.hops, self.messages
+        hops[category] = hops.get(category, 0) + hop_count
+        messages[category] = messages.get(category, 0) + message_count
+        if delivered:
+            self.delivered[category] = self.delivered.get(category, 0) + delivered
+        if dropped:
+            self.dropped[category] = self.dropped.get(category, 0) + dropped
+        node_load = self.node_load
+        for node in load:
+            node_load[node] = node_load.get(node, 0) + 1
 
     def record_delivery(
         self, category: str, delivered: int, dropped: int
@@ -103,17 +109,9 @@ class MessageStats:
         """Count ``count`` delivery-planner cache events of ``kind``."""
         self.plan_events.bump(kind, count)
 
-    def plan_events_for(self, kind: str) -> int:
-        """Planner cache events of ``kind`` recorded so far."""
-        return self.plan_events.get(kind, 0)
-
     def delivered_for(self, category: str) -> int:
         """Message occurrences delivered to their destination."""
         return self.delivered.get(category, 0)
-
-    def dropped_for(self, category: str) -> int:
-        """Message occurrences that never reached their destination."""
-        return self.dropped.get(category, 0)
 
     def conservation_violations(
         self, categories: Iterable[str] = (POST, QUERY)
@@ -134,10 +132,6 @@ class MessageStats:
             if sent != delivered + dropped:
                 violations[category] = (sent, delivered, dropped)
         return violations
-
-    def load_for(self, node: Hashable) -> int:
-        """Delivered messages that addressed ``node``."""
-        return self.node_load.get(node, 0)
 
     def merge(self, other: "MessageStats") -> None:
         """Add another stats object into this one."""
@@ -169,6 +163,15 @@ class MessageStats:
         This is the quantity the paper's ``m(i, j)`` measures (M3).
         """
         return self.hops_for(POST) + self.hops_for(QUERY)
+
+    def restore_traffic(self, snapshot: "MessageStats") -> None:
+        """Roll every traffic family back to ``snapshot``; planner cache
+        events are the simulator's own work, not traffic, and keep
+        counting."""
+        for name, family in self._families():
+            if name != "plan_events":
+                family.clear()
+                family.update(getattr(snapshot, name))
 
     def snapshot(self) -> "MessageStats":
         """An independent copy of the current counters."""

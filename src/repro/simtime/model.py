@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Tuple
 
+from ..core.types import require_finite
+
 
 def link_key(u: Hashable, v: Hashable) -> str:
     """The canonical, JSON-safe identity of the (undirected) link
@@ -50,6 +52,7 @@ class LinkTiming:
     capacity: int = 1
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.latency <= 0:
             raise ValueError("link latency must be positive")
         if self.jitter < 0:
@@ -102,6 +105,7 @@ class TimeModelSpec:
     timeout: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.node_service < 0:
             raise ValueError("node_service must be non-negative")
         if self.timeout < 0:

@@ -21,6 +21,7 @@ from typing import Dict, Hashable, Iterable, List, Optional
 
 from ..core.exceptions import StrategyError
 from ..core.strategy import MatchMakingStrategy
+from ..core.types import require_finite
 from ..network.faults import (
     FaultTimeline,
     correlated_failures,
@@ -86,6 +87,7 @@ class ArrivalSpec:
     burst_gap: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in ARRIVAL_KINDS:
             raise ValueError(
                 f"unknown arrival kind {self.kind!r}; expected one of {ARRIVAL_KINDS}"
@@ -119,6 +121,7 @@ class PopularitySpec:
     hotspot_interval: float = 5.0
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in POPULARITY_KINDS:
             raise ValueError(
                 f"unknown popularity kind {self.kind!r}; "
@@ -150,6 +153,7 @@ class ChurnSpec:
     storm_fraction: float = 0.25
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in CHURN_KINDS:
             raise ValueError(
                 f"unknown churn kind {self.kind!r}; expected one of {CHURN_KINDS}"
@@ -197,6 +201,7 @@ class FaultRegimeSpec:
     downtime: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.kind not in FAULT_REGIME_KINDS:
             raise ValueError(
                 f"unknown fault regime kind {self.kind!r}; "
@@ -247,6 +252,7 @@ class SloSpec:
     window: float = 0.5
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.latency_objective <= 0:
             raise ValueError("latency_objective must be positive")
         if not 0.0 < self.latency_target < 1.0:
@@ -296,6 +302,7 @@ class ScenarioSpec:
     slo: Optional[SloSpec] = None
 
     def __post_init__(self) -> None:
+        require_finite(self)
         if self.operations < 1:
             raise ValueError("operations must be at least 1")
         if self.clients < 1 or self.servers < 1 or self.ports < 1:

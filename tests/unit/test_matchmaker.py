@@ -146,6 +146,31 @@ class TestMatchInstance:
         average = matchmaker.average_cost(port, pairs=pairs, use_hops=True)
         assert average > 0
 
+    def test_measured_average_cost_keeps_message_conservation(self):
+        topology = CompleteTopology(16)
+        network = Network(topology.graph, delivery_mode="unicast")
+        matchmaker = MatchMaker(network, CheckerboardStrategy(topology.nodes()))
+        matchmaker.average_cost(Port("y"), use_hops=True)
+        assert network.stats.conservation_violations() == {}
+
+    def test_instance_charges_exactly_register_plus_locate(self, port):
+        def fresh():
+            topology = CompleteTopology(16)
+            network = Network(topology.graph, delivery_mode="unicast")
+            strategy = CheckerboardStrategy(topology.nodes())
+            return network, MatchMaker(network, strategy)
+
+        network, matchmaker = fresh()
+        matchmaker.match_instance(2, 13, port)
+        reference, reference_matchmaker = fresh()
+        reference_matchmaker.register_server(2, port)
+        reference_matchmaker.locate(13, port)
+        # The withdrawal is rolled back in every traffic family.
+        for family in ("hops", "messages", "node_load", "delivered", "dropped"):
+            assert getattr(network.stats, family) == getattr(
+                reference.stats, family
+            ), family
+
     def test_average_cost_empty_pairs_rejected(self, grid_setup, port):
         _, _, matchmaker = grid_setup
         with pytest.raises(ValueError):
