@@ -13,6 +13,7 @@ from typing import Hashable, List, Optional
 from ..core.exceptions import NodeDownError
 from ..core.types import Address, Port, PostRecord
 from .cache import NodeCache
+from .faults import FaultPlan
 
 
 class Node:
@@ -25,12 +26,20 @@ class Node:
     cache:
         The posting cache to use; defaults to an unbounded
         :class:`~repro.network.cache.NodeCache`.
+    faults:
+        The fault plan that holds this node's liveness (the network's own
+        plan); defaults to a private :class:`~repro.network.faults.FaultPlan`.
     """
 
-    def __init__(self, node_id: Hashable, cache: Optional[NodeCache] = None) -> None:
+    def __init__(
+        self,
+        node_id: Hashable,
+        cache: Optional[NodeCache] = None,
+        faults: Optional[FaultPlan] = None,
+    ) -> None:
         self._id = node_id
         self._cache = cache if cache is not None else NodeCache()
-        self._alive = True
+        self._faults = faults if faults is not None else FaultPlan()
 
     # -- identity / liveness ------------------------------------------------
 
@@ -46,20 +55,20 @@ class Node:
 
     @property
     def alive(self) -> bool:
-        """Whether the node is up."""
-        return self._alive
+        """Whether the node is up, read from the fault plan."""
+        return self._id not in self._faults.crashed_nodes
 
     def crash(self) -> None:
-        """Crash the node.  Its cache contents are lost."""
-        self._alive = False
+        """Crash the node in its fault plan.  Its cache contents are lost."""
+        self._faults.crash_node(self._id)
         self._cache.clear()
 
     def recover(self) -> None:
         """Bring a crashed node back up with an empty cache."""
-        self._alive = True
+        self._faults.recover_node(self._id)
 
     def _require_alive(self) -> None:
-        if not self._alive:
+        if self._id in self._faults.crashed_nodes:
             raise NodeDownError(self._id)
 
     # -- cache operations ----------------------------------------------------
@@ -104,5 +113,5 @@ class Node:
         return len(self._cache)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        status = "up" if self._alive else "down"
+        status = "up" if self.alive else "down"
         return f"Node({self._id!r}, {status}, cache={self.cache_size()})"
