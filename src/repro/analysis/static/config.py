@@ -35,7 +35,7 @@ class AnalysisConfig:
     #: inside a run whose metrics end up digested.  Matched by terminal name.
     entry_points: FrozenSet[str] = _fs(
         "run", "replay", "run_cell", "run_matrix", "run_matrix_parallel",
-        "run_scenario", "replay_trace", "_run_shard", "expand",
+        "run_scenario", "replay_trace", "run_cells", "_run_shard", "expand",
     )
 
     #: Modules (by dotted prefix) declared as wall-clock zones: phase
@@ -100,6 +100,7 @@ class AnalysisConfig:
         "MetricsRegistry", "Counter", "Gauge", "Histogram", "CounterMap",
         "HopHistogram", "LatencyHistogram", "PhaseProfile", "MatrixReport",
         "CellCache", "TimeModelSpec", "LinkTiming", "Timeline", "SloSpec",
+        "ShardJob",
     )
 
     #: Type names that must never appear on a boundary-class field: live

@@ -14,9 +14,11 @@ stay in grid expansion order, so each worker replays exactly the warm-up
 sequence the sequential engine would — which is what makes the merged
 :class:`~repro.workload.matrix.MatrixReport` byte-identical
 (:meth:`~repro.workload.matrix.MatrixReport.digest`) to a sequential run at
-any worker count.  Workers stream per-cell results into JSONL spool files;
-the parent polls the spools for progress/ETA and merges them by grid
-position.  ``python -m repro`` exposes the engine on the command line.
+any worker count.  Every cell, sequential or sharded, executes in one
+loop, :func:`~repro.exec.runner.run_cells`; the sequential engine collects
+its results in-process, while each shard streams them into a JSONL spool
+file that the parent polls for progress/ETA and merges by grid position.
+``python -m repro`` exposes the engine on the command line.
 
 Two layers make repeated sweeps cheap without bending any of the above:
 the content-addressed :class:`~repro.exec.cache.CellCache` serves

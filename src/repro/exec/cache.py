@@ -231,8 +231,9 @@ def canonical_cell_payload(cell_result: CellResult) -> Dict[str, object]:
 class IncrementalRunner:
     """Drives cache consultation for one in-order pass over a grid.
 
-    Both execution loops — the sequential engine and each parallel shard —
-    visit their cells in grid expansion order and ask, per cell:
+    The one cell loop, :func:`~repro.exec.runner.run_cells`, visits a
+    pass's cells in grid expansion order (the whole grid sequentially, or
+    one shard) and asks, per cell:
     :meth:`lookup` (may serve a cached result), :meth:`warmup` (before
     executing a miss, replay the cache-served same-topology predecessors so
     the shared network's planner state matches the cold sequential run),

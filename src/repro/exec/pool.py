@@ -25,7 +25,7 @@ parallel "speedup" below 1x.
   cannot drift.
 
 Invalidation is explicit and generation-based: :meth:`WarmPool.invalidate`
-bumps a generation token that rides in every shard payload; a worker
+bumps a generation token that rides in every shard job; a worker
 seeing a new generation drops its whole store before serving.  Call it
 when the *meaning* of a topology name changes (e.g. code reload in a
 long-lived driver); ordinary spec changes never need it, because the
@@ -38,8 +38,8 @@ from concurrent.futures import ProcessPoolExecutor
 from typing import Dict, Optional, Tuple
 
 from ..network.simulator import Network
-from ..workload.matrix import shared_network_for
-from ..workload.spec import ScenarioSpec
+from ..obs.profile import TOPOLOGY_BUILD, phase
+from ..workload.spec import ScenarioSpec, build_topology
 from .plan import resolve_workers
 
 #: Worker-process-global network store: ``(topology, delivery_mode)`` ->
@@ -58,37 +58,42 @@ def _bump(stats: Optional[Dict[str, int]], name: str) -> None:
 def checkout_network(
     networks: Dict[str, Network],
     spec: ScenarioSpec,
-    generation: Optional[int],
+    generation: Optional[int] = None,
     stats: Optional[Dict[str, int]] = None,
 ) -> Network:
-    """The shared network for ``spec``, preferring the worker's warm store.
+    """The shared network for ``spec``: one per topology within a run.
 
-    ``networks`` is the shard-task-local dict (reuse *within* one run —
-    the planner caches deliberately stay warm across same-topology cells,
-    exactly like the sequential engine).  ``generation`` is the warm
-    pool's token, or ``None`` when pooling is off, in which case this is
-    plain :func:`~repro.workload.matrix.shared_network_for`.  A warm
-    network found in the store is recycled through ``reset_to_cold`` so
-    its planner counters restart from zero.
+    ``networks`` is the run-local dict, so cells of one topology share one
+    network and its planner caches stay deliberately warm across them.
+    The driver resets the network before every cell, so sharing never
+    changes a cell's metrics; it only amortizes the O(n²) routing
+    construction.  ``generation`` is the warm pool's token, or ``None``
+    for a plain build.  With a token, the worker's store is consulted
+    before building, and a stored network is recycled through
+    ``reset_to_cold`` so its planner counters restart from zero.
     """
     network = networks.get(spec.topology)
     if network is not None:
         return network
+    key = (spec.topology, spec.delivery_mode)
     if generation is not None:
         global _WORKER_GENERATION
         if generation != _WORKER_GENERATION:
             _WORKER_NETWORKS.clear()
             _WORKER_GENERATION = generation
-        warm = _WORKER_NETWORKS.get((spec.topology, spec.delivery_mode))
-        if warm is not None:
-            warm.reset_to_cold()
-            networks[spec.topology] = warm
+        network = _WORKER_NETWORKS.get(key)
+        if network is not None:
+            network.reset_to_cold()
             _bump(stats, "pool_network_reuses")
-            return warm
-    network = shared_network_for(networks, spec)
-    if generation is not None:
-        _WORKER_NETWORKS[(spec.topology, spec.delivery_mode)] = network
-        _bump(stats, "pool_network_builds")
+    if network is None:
+        with phase(TOPOLOGY_BUILD):
+            network = build_topology(spec.topology).build_network(
+                delivery_mode=spec.delivery_mode
+            )
+        if generation is not None:
+            _WORKER_NETWORKS[key] = network
+            _bump(stats, "pool_network_builds")
+    networks[spec.topology] = network
     return network
 
 

@@ -1,18 +1,22 @@
-"""The process-pool matrix runner and its deterministic merge.
+"""The one per-cell loop, the process-pool matrix runner and its merge.
 
-Each shard runs in its own worker process (real parallelism — no GIL
-sharing) through :func:`_run_shard`, which is deliberately a thin loop
-around :func:`repro.workload.matrix.run_cell` and the same per-topology
-shared-network helper the sequential engine uses.  Workers stream each
-finished cell into their JSONL spool; the parent polls the spools while
+:func:`run_cells` is the one loop that executes matrix cells: cache lookup,
+shared-network checkout, cache warm-up,
+:func:`~repro.workload.matrix.run_cell`, cache record, then the cell's
+obs export, trace file and kept result.  The sequential engine
+(:func:`~repro.workload.matrix.run_matrix`) calls it in-process and
+collects each finished cell into a list.  Each parallel shard calls it
+through :func:`_run_shard`, which streams each finished cell into the
+shard's JSONL spool; a plan with one shard and no warm pool runs that
+same :func:`_run_shard` in-process.  The parent polls the spools while
 the pool drains (that is the progress/ETA feed) and then merges all spool
 records by grid position into a :class:`~repro.workload.matrix.MatrixReport`
 whose canonical JSON is byte-identical to the sequential run's.
 
-Payloads crossing the process boundary are plain picklable data:
-``(position, MatrixCell)`` pairs outbound, and — only when callers ask to
-keep full results — ``WorkloadResult`` objects inbound, which pickle
-cleanly because results never reference a live ``Network`` or planner.
+Payloads crossing the process boundary are plain picklable data: a
+:class:`ShardJob` outbound, and — only when callers ask to keep full
+results — ``WorkloadResult`` objects inbound, which pickle cleanly
+because results never reference a live ``Network`` or planner.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ import os
 import shutil
 import tempfile
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from contextlib import ExitStack
+from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -52,19 +59,26 @@ from .spool import SpoolCursor, SpoolError, dump_spool_line, load_spool, \
 #: How often the parent polls spool files for progress while workers run.
 POLL_SECONDS = 0.2
 
-#: One shard's payload: everything a worker needs, all picklable.
-ShardPayload = Tuple[
-    int,                                # shard index
-    str,                                # spool file path
-    bool,                               # share_networks
-    bool,                               # keep_results
-    Optional[str],                      # trace_dir
-    Optional[str],                      # obs export dir
-    bool,                               # profile (wall-clock phase timing)
-    Optional[str],                      # cell-cache dir
-    Optional[int],                      # warm-pool generation (None = no pool)
-    Tuple[Tuple[int, MatrixCell], ...], # (position, cell) pairs
-]
+
+@dataclass(frozen=True)
+class ShardJob:
+    """One pass of :func:`run_cells`: everything it needs, all picklable.
+
+    The sequential engine runs the whole grid as shard 0 with no spool.
+    """
+
+    index: int
+    #: ``(grid position, cell)`` pairs, in execution order.
+    cells: Tuple[Tuple[int, MatrixCell], ...]
+    share_networks: bool
+    keep_results: bool
+    trace_dir: Optional[str]
+    obs_dir: Optional[str]
+    profile: bool
+    cache_dir: Optional[str]
+    spool: Optional[str] = None
+    #: The warm-pool generation, or ``None`` when no pool is in play.
+    generation: Optional[int] = None
 
 
 def _shard_metrics_path(obs_path: Path, shard_index: int) -> Path:
@@ -76,133 +90,151 @@ def _shard_metrics_path(obs_path: Path, shard_index: int) -> Path:
     return obs_path / f"metrics-shard-{shard_index:03d}.jsonl"
 
 
-def _run_shard(
-    payload: ShardPayload,
+def run_cells(
+    job: ShardJob,
+    emit: Callable[[int, CellResult], None],
+    metrics_path: Optional[Path],
+    label: str,
 ) -> Tuple[
-    int,
-    List[Tuple[int, WorkloadResult]],
-    Optional[Dict[str, object]],
-    Optional[Dict[str, int]],
+    List[Tuple[int, WorkloadResult]], Optional[PhaseProfile], Dict[str, int]
 ]:
-    """Worker entry point: run one shard's cells, spooling as they finish.
+    """Run ``job``'s cells in order, handing each finished one to ``emit``.
 
-    Top-level (not a closure) so it pickles under the ``spawn`` start
-    method as well as ``fork``.  Cells execute in the given order over
-    per-topology shared networks — the exact warm-up sequence the
-    sequential engine produces for these cells.
+    Cells share one network per topology, so a shard replays exactly the
+    warm-up sequence the sequential engine gives its cells; cache hits are
+    chain-keyed so they agree too (see :mod:`repro.exec.cache`).  With an
+    obs dir, cell files are keyed on grid position and metrics lines go to
+    ``metrics_path``.  A cell that raises is re-raised as a
+    ``RuntimeError`` naming its grid position and coordinates.
 
-    With an obs dir the worker writes exactly the cell-level files a
-    sequential run would (``spans-cell-NNNN.jsonl`` keyed on grid position)
-    plus its own ``shard`` span file and a private metrics part the parent
-    folds into ``metrics.jsonl``.  The third return element is the worker's
-    wall-clock phase profile (as a dict), or ``None``; the fourth is its
-    cache/warm-pool counter snapshot, or ``None`` when neither is in play.
-
-    With a cache dir the shard serves unchanged cells straight from the
-    content-addressed store (chain-keyed, so hits agree with the
-    sequential engine — see :mod:`repro.exec.cache`); with a warm-pool
-    generation it checks this worker process's persistent network store
-    before building a topology from scratch.
+    Returns the kept ``(position, result)`` pairs, the phase profile named
+    ``label`` (``None`` unless ``job.profile``), and the cache and
+    warm-pool counters.
     """
-    (
-        shard_index, spool_path, share_networks, keep_results, trace_dir,
-        obs_dir, profile, cache_dir, generation, cells,
-    ) = payload
-    obs_path = Path(obs_dir) if obs_dir is not None else None
+    obs_path = Path(job.obs_dir) if job.obs_dir is not None else None
     shard_tracer = SpanRecorder() if obs_path is not None else None
-    shard_profile = PhaseProfile(f"shard-{shard_index}") if profile else None
+    run_profile = PhaseProfile(label) if job.profile else None
     networks: Dict[str, Network] = {}
     kept: List[Tuple[int, WorkloadResult]] = []
     stats: Dict[str, int] = {}
-    cache = runner = None
-    if cache_dir is not None:
-        cache = CellCache(cache_dir)
+    runner = None
+    if job.cache_dir is not None:
         runner = IncrementalRunner(
-            cache,
-            share_networks=share_networks,
+            CellCache(job.cache_dir),
+            share_networks=job.share_networks,
             reads=not (
-                keep_results or trace_dir is not None or obs_path is not None
+                job.keep_results or job.trace_dir is not None
+                or obs_path is not None
             ),
         )
-    metrics_fp = None
-    try:
-        if obs_path is not None:
-            metrics_fp = open(
-                _shard_metrics_path(obs_path, shard_index), "w",
-                encoding="utf-8",
+    with ExitStack() as stack, profiling(run_profile):
+        metrics_fp = None
+        if metrics_path is not None:
+            metrics_fp = stack.enter_context(
+                open(metrics_path, "w", encoding="utf-8")
             )
-        with profiling(shard_profile), open(
-            spool_path, "w", encoding="utf-8"
-        ) as fp:
-            shard_span = None
-            if shard_tracer is not None:
-                shard_span = shard_tracer.begin(
-                    "shard", shard=shard_index, cells=len(cells)
+        shard_span = None
+        if shard_tracer is not None:
+            shard_span = shard_tracer.begin(
+                "shard", shard=job.index, cells=len(job.cells)
+            )
+        for position, cell in job.cells:
+            if runner is not None:
+                cached = runner.lookup(cell)
+                if cached is not None:
+                    emit(position, cached)
+                    continue
+            network: Optional[Network] = None
+            if job.share_networks:
+                network = checkout_network(
+                    networks, cell.spec, job.generation, stats
                 )
-            for position, cell in cells:
                 if runner is not None:
-                    cached = runner.lookup(cell)
-                    if cached is not None:
-                        fp.write(dump_spool_line(position, cached))
-                        fp.flush()
-                        continue
-                network: Optional[Network] = None
-                if share_networks:
-                    network = checkout_network(
-                        networks, cell.spec, generation, stats
-                    )
-                    if runner is not None:
-                        runner.warmup(cell, network)
-                cell_tracer = SpanRecorder() if obs_path is not None else None
+                    runner.warmup(cell, network)
+            cell_tracer = SpanRecorder() if obs_path is not None else None
+            try:
                 with phase(CELL_RUN):
                     cell_result, result = run_cell(
                         cell, network=network, tracer=cell_tracer
                     )
-                if runner is not None:
-                    runner.record(cell_result)
-                fp.write(dump_spool_line(position, cell_result))
-                fp.flush()  # stream: the parent polls for progress
-                if obs_path is not None:
-                    cell_tracer.to_path(
-                        _obs_export.cell_span_path(obs_path, position)
-                    )
-                    metrics_fp.write(_obs_export.dump_metrics_line(
-                        position,
-                        {
-                            "name": cell.spec.name,
-                            "topology": cell.topology,
-                            "strategy": cell.strategy,
-                            "regime": cell.regime,
-                        },
-                        result.metrics.registry,
-                    ))
-                    if result.exemplars:
-                        _obs_export.write_timelines(
-                            _obs_export.timeline_path(obs_path, position),
-                            result.exemplars,
-                        )
-                    shard_tracer.set_clock(float(position))
-                    shard_tracer.event(
-                        "cell-run", position=position, cell=cell.spec.name
-                    )
-                if trace_dir is not None:
-                    write_cell_trace(trace_dir, position, result)
-                if keep_results:
-                    kept.append((position, result))
-            if shard_tracer is not None:
-                shard_tracer.end(shard_span, cells=len(cells))
-                shard_tracer.to_path(
-                    _obs_export.shard_span_path(obs_path, shard_index)
+            except Exception as exc:
+                raise RuntimeError(
+                    f"matrix cell {position} (topology {cell.topology}, "
+                    f"strategy {cell.strategy}, regime {cell.regime}) "
+                    f"failed: {type(exc).__name__}: {exc}"
+                ) from exc
+            if runner is not None:
+                runner.record(cell_result)
+            emit(position, cell_result)
+            if obs_path is not None:
+                cell_tracer.to_path(
+                    _obs_export.cell_span_path(obs_path, position)
                 )
-    finally:
-        if metrics_fp is not None:
-            metrics_fp.close()
-    profile_dict = (
-        shard_profile.to_dict() if shard_profile is not None else None
-    )
-    if cache is not None:
-        merge_cache_stats(stats, cache.stats())
-    return shard_index, kept, profile_dict, (stats or None)
+                metrics_fp.write(_obs_export.dump_metrics_line(
+                    position,
+                    {
+                        "name": cell.spec.name,
+                        "topology": cell.topology,
+                        "strategy": cell.strategy,
+                        "regime": cell.regime,
+                    },
+                    result.metrics.registry,
+                ))
+                if result.exemplars:
+                    _obs_export.write_timelines(
+                        _obs_export.timeline_path(obs_path, position),
+                        result.exemplars,
+                    )
+                shard_tracer.set_clock(float(position))
+                shard_tracer.event(
+                    "cell-run", position=position, cell=cell.spec.name
+                )
+            if job.trace_dir is not None:
+                write_cell_trace(job.trace_dir, position, result)
+            if job.keep_results:
+                kept.append((position, result))
+        if shard_tracer is not None:
+            shard_tracer.end(shard_span, cells=len(job.cells))
+            shard_tracer.to_path(
+                _obs_export.shard_span_path(obs_path, job.index)
+            )
+    if runner is not None:
+        merge_cache_stats(stats, runner.cache.stats())
+    return kept, run_profile, stats
+
+
+def _run_shard(
+    job: ShardJob,
+    progress: Optional[Callable[[int, int], None]] = None,
+) -> Tuple[
+    int, List[Tuple[int, WorkloadResult]], Optional[PhaseProfile],
+    Dict[str, int],
+]:
+    """Worker entry point: :func:`run_cells` streaming into the job's spool.
+
+    Top-level (not a closure) so it pickles under the ``spawn`` start
+    method as well as ``fork``.  Metrics go to a private part file the
+    parent folds into ``metrics.jsonl``.  ``progress`` is only given when
+    the shard runs in the parent's process, where no spool poll can see
+    it.
+    """
+    assert job.spool is not None  # only the sequential pass has no spool
+    done = count(1)
+    with open(job.spool, "w", encoding="utf-8") as fp:
+
+        def emit(position: int, cell_result: CellResult) -> None:
+            fp.write(dump_spool_line(position, cell_result))
+            fp.flush()  # stream: the parent polls for progress
+            if progress is not None:
+                progress(next(done), len(job.cells))
+
+        metrics_path = (
+            _shard_metrics_path(Path(job.obs_dir), job.index)
+            if job.obs_dir is not None else None
+        )
+        return (job.index,) + run_cells(
+            job, emit, metrics_path, f"shard-{job.index}"
+        )
 
 
 def run_matrix_parallel(
@@ -222,10 +254,11 @@ def run_matrix_parallel(
 
     The report is byte-identical (:meth:`MatrixReport.digest`) to
     ``run_matrix(matrix, share_networks=share_networks)`` at any worker
-    count.  ``workers=0``/``None`` means one per CPU; grids that plan to a
-    single shard run sequentially in-process (no pool overhead).  Pass
-    ``spool_dir`` to keep the JSONL spool files; by default they live in a
-    temporary directory removed after the merge.
+    count.  ``workers=0``/``None`` means one per CPU; without a ``pool``,
+    a grid that plans to a single shard runs it in this process (no pool
+    overhead) through the same spool and merge.  Pass ``spool_dir`` to
+    keep the JSONL spool files; by default they live in a temporary
+    directory removed after the merge.
 
     ``obs_dir``/``profile`` mirror :func:`~repro.workload.matrix.run_matrix`:
     workers write per-cell span and metrics files keyed on grid position
@@ -243,39 +276,9 @@ def run_matrix_parallel(
     digest-neutral; their counters land in the report's digest-excluded
     ``cache`` section.
     """
-    from ..workload.matrix import run_matrix  # local: avoids import cycle
-
     if pool is not None:
         workers = pool.workers
     plan = ExecutionPlan.from_matrix(matrix, workers or 0)
-    if len(plan.shards) <= 1:
-        report, results = run_matrix(
-            matrix,
-            share_networks=share_networks,
-            keep_results=keep_results,
-            progress=progress,
-            trace_dir=trace_dir,
-            obs_dir=obs_dir,
-            profile=profile,
-            cache_dir=cache_dir,
-        )
-        if spool_dir is not None:
-            # Honour the requested artifact even when the grid collapsed to
-            # one in-process shard: same file name, same line format, and —
-            # critically — the *planned* grid positions, exactly as the
-            # multi-shard path spools them.
-            spool_root = Path(spool_dir)
-            spool_root.mkdir(parents=True, exist_ok=True)
-            positions = [
-                indexed.position
-                for shard in plan.shards for indexed in shard.cells
-            ]
-            with open(
-                shard_spool_path(spool_root, 0), "w", encoding="utf-8"
-            ) as fp:
-                for position, cell_result in zip(positions, report.cells):
-                    fp.write(dump_spool_line(position, cell_result))
-        return report, results
     own_spool = spool_dir is None
     spool_root = Path(
         tempfile.mkdtemp(prefix="repro-spool-") if own_spool else spool_dir
@@ -290,56 +293,57 @@ def run_matrix_parallel(
     parent_profile = PhaseProfile("parent") if profile else None
     generation = pool.generation if pool is not None and share_networks \
         else None
-    payloads: List[ShardPayload] = [
-        (
-            shard.index,
-            str(shard_spool_path(spool_root, shard.index)),
-            share_networks,
-            keep_results,
-            str(trace_dir) if trace_dir is not None else None,
-            str(obs_path) if obs_path is not None else None,
-            profile,
-            str(cache_dir) if cache_dir is not None else None,
-            generation,
-            tuple((indexed.position, indexed.cell) for indexed in shard.cells),
+    jobs = [
+        ShardJob(
+            index=shard.index,
+            cells=tuple(
+                (indexed.position, indexed.cell) for indexed in shard.cells
+            ),
+            share_networks=share_networks,
+            keep_results=keep_results,
+            trace_dir=str(trace_dir) if trace_dir is not None else None,
+            obs_dir=str(obs_path) if obs_path is not None else None,
+            profile=profile,
+            cache_dir=str(cache_dir) if cache_dir is not None else None,
+            spool=str(spool_path),
+            generation=generation,
         )
-        for shard in plan.shards
+        for shard, spool_path in zip(plan.shards, spool_paths)
     ]
     total = plan.cell_count
-    kept: Dict[int, WorkloadResult] = {}
-    shard_profiles: Dict[int, Dict[str, object]] = {}
-    exec_stats: Dict[str, int] = {}
     try:
-        own_executor = pool is None
-        executor = (
-            ProcessPoolExecutor(max_workers=len(plan.shards))
-            if own_executor else pool.executor
-        )
-        try:
-            pending = {
-                executor.submit(_run_shard, payload) for payload in payloads
-            }
-            cursor = SpoolCursor(spool_paths)
-            while pending:
-                done, pending = wait(
-                    pending, timeout=POLL_SECONDS, return_when=FIRST_COMPLETED
-                )
-                if progress is not None:
-                    progress(min(cursor.count(), total), total)
-                for future in done:
-                    # Reraise worker errors here.
-                    shard_index, shard_kept, shard_profile, shard_stats = \
-                        future.result()
-                    kept.update(shard_kept)
-                    if shard_profile is not None:
-                        shard_profiles[shard_index] = shard_profile
-                    if shard_stats:
-                        merge_cache_stats(exec_stats, shard_stats)
-        finally:
-            if own_executor:
-                executor.shutdown(wait=True)
-        if progress is not None:
-            progress(total, total)
+        if pool is None and len(jobs) <= 1:
+            outcomes = [_run_shard(job, progress) for job in jobs]
+        else:
+            outcomes = []
+            executor = ProcessPoolExecutor(max_workers=len(jobs)) \
+                if pool is None else pool.executor
+            try:
+                pending = {executor.submit(_run_shard, job) for job in jobs}
+                cursor = SpoolCursor(spool_paths)
+                while pending:
+                    done, pending = wait(
+                        pending, timeout=POLL_SECONDS,
+                        return_when=FIRST_COMPLETED,
+                    )
+                    if progress is not None:
+                        progress(min(cursor.count(), total), total)
+                    # Reraises worker errors here.  A running shard cannot
+                    # be stopped, so an error surfaces once the others end.
+                    outcomes.extend(future.result() for future in done)
+            finally:
+                if pool is None:
+                    executor.shutdown(wait=True)
+            if progress is not None:
+                progress(total, total)
+        kept: Dict[int, WorkloadResult] = {}
+        shard_profiles: Dict[int, PhaseProfile] = {}
+        exec_stats: Dict[str, int] = {}
+        for shard_index, shard_kept, shard_profile, shard_stats in outcomes:
+            kept.update(shard_kept)
+            if shard_profile is not None:
+                shard_profiles[shard_index] = shard_profile
+            merge_cache_stats(exec_stats, shard_stats)
         merge_tracer = SpanRecorder() if obs_path is not None else None
         merge_span = None
         if merge_tracer is not None:
@@ -382,30 +386,45 @@ def run_matrix_parallel(
     finally:
         if own_spool:
             shutil.rmtree(spool_root, ignore_errors=True)
-    results = [kept[position] for position in sorted(kept)] if keep_results \
-        else []
+    results = [kept[position] for position in sorted(kept)]
     report = MatrixReport(matrix.to_dict(), cells, plan.skipped)
-    if cache_dir is not None or pool is not None:
-        if cache_dir is not None:
-            # Every counter appears even when zero, so cold and warm runs
-            # report the same key set.
-            merge_cache_stats(exec_stats, CellCache(cache_dir).stats())
-        report.attach_cache_stats(exec_stats)
+    if cache_dir is not None:
+        # Every counter appears even when zero, so cold and warm runs
+        # report the same key set.
+        merge_cache_stats(exec_stats, CellCache(cache_dir).stats())
+    profiles: List[PhaseProfile] = []
+    if parent_profile is not None:
+        profiles = [parent_profile] + [
+            shard_profiles[index] for index in sorted(shard_profiles)
+        ]
+    _attach_run_sections(
+        report, obs_path,
+        exec_stats if cache_dir is not None or pool is not None else None,
+        profiles,
+    )
+    return report, results
+
+
+def _attach_run_sections(
+    report: MatrixReport,
+    obs_path: Optional[Path],
+    stats: Optional[Dict[str, int]],
+    profiles: List[PhaseProfile],
+) -> None:
+    """Install a run's digest-excluded ``cache`` and ``profile`` sections,
+    and write their obs export files when ``obs_path`` is set."""
+    if stats is not None:
+        report.attach_cache_stats(stats)
         if obs_path is not None:
             _obs_export.write_cache_stats(
-                _obs_export.cache_stats_path(obs_path), exec_stats
+                _obs_export.cache_stats_path(obs_path), stats
             )
-    if profile:
-        profiles = [parent_profile] + [
-            PhaseProfile.from_dict(shard_profiles[index])
-            for index in sorted(shard_profiles)
-        ]
+    if profiles:
         if obs_path is not None:
             _obs_export.write_profiles(
                 _obs_export.profile_path(obs_path), profiles
             )
         report.attach_profile(_obs_export.profiles_dict(profiles))
-    return report, results
 
 
 def _merge_shard_metrics(obs_path: Path, plan: ExecutionPlan) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..core.types import Port
 from ..network import faults as _faults
@@ -519,18 +519,14 @@ class WorkloadDriver:
         fault_ops = [self._fault_op(event) for event in timeline]
         trace = Trace(spec.to_dict())
         metrics = WorkloadMetrics(universe_size=len(self._nodes))
-        load_baseline = dict(state.network.stats.node_load)
-        plan_baseline = dict(state.network.stats.plan_events)
         pending_recoveries: List[Tuple[float, int]] = []
         churn_cursor = 0
         fault_cursor = 0
-        self._attach_overlay(state, metrics)
-        started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
 
-        def _drain(until: float) -> None:
-            """Execute recoveries, fault events and churn due at or before
-            ``until``; ties execute recoveries first, then faults, then
-            churn."""
+        def _due(until: float) -> Iterator[TraceOp]:
+            """Recoveries, fault events and churn due at or before
+            ``until``; ties yield recoveries first, then faults, then
+            churn.  Each op executes before the next is resolved."""
             nonlocal churn_cursor, fault_cursor
             while True:
                 recovery_due = (
@@ -551,43 +547,25 @@ class WorkloadDriver:
                     return
                 if recovery_due == due:
                     due_time, node_index = heapq.heappop(pending_recoveries)
-                    op = TraceOp(RECOVER, due_time, (node_index,))
-                    trace.append(op)
-                    self._exec_op(state, metrics, op)
+                    yield TraceOp(RECOVER, due_time, (node_index,))
                 elif fault_due == due:
-                    op = fault_ops[fault_cursor]
+                    yield fault_ops[fault_cursor]
                     fault_cursor += 1
-                    trace.append(op)
-                    self._exec_op(state, metrics, op)
                 else:
                     event = churn_events[churn_cursor]
                     churn_cursor += 1
-                    for op in self._resolve_churn(
+                    yield from self._resolve_churn(
                         state, event, resolve_rng, pending_recoveries
-                    ):
-                        trace.append(op)
-                        self._exec_op(state, metrics, op)
+                    )
 
-        with tracing(tracer):
+        def _ops() -> Iterator[TraceOp]:
             for now, client_index in requests:
-                _drain(now)
+                yield from _due(now)
                 port_index = popularity_model.pick(popularity_rng, now)
-                op = TraceOp(REQUEST, now, (client_index, port_index))
-                trace.append(op)
-                self._exec_op(state, metrics, op)
-            _drain(float("inf"))
+                yield TraceOp(REQUEST, now, (client_index, port_index))
+            yield from _due(float("inf"))
 
-        wall = wall_clock() - started
-        exemplars = self._detach_overlay(state)
-        merge_node_load(metrics, state.network.stats.node_load, load_baseline)
-        return WorkloadResult(
-            spec=spec,
-            metrics=metrics,
-            trace=trace,
-            wall_seconds=wall,
-            plan_cache=_plan_cache_delta(state, plan_baseline),
-            exemplars=exemplars,
-        )
+        return self._execute(state, metrics, _ops(), trace, tracer, True)
 
     def replay(
         self, trace: Trace, tracer: Optional[SpanRecorder] = None
@@ -596,12 +574,27 @@ class WorkloadDriver:
         run — and so does the span stream, when ``tracer`` is given."""
         state = self._build_state()
         metrics = WorkloadMetrics(universe_size=len(self._nodes))
+        return self._execute(state, metrics, trace, trace, tracer, False)
+
+    def _execute(
+        self,
+        state: _RunState,
+        metrics: WorkloadMetrics,
+        ops: Iterable[TraceOp],
+        trace: Trace,
+        tracer: Optional[SpanRecorder],
+        record: bool,
+    ) -> WorkloadResult:
+        """Execute ``ops`` in order, the body :meth:`run` and :meth:`replay`
+        share; with ``record``, each op is appended to ``trace`` first."""
         load_baseline = dict(state.network.stats.node_load)
         plan_baseline = dict(state.network.stats.plan_events)
         self._attach_overlay(state, metrics)
         started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
         with tracing(tracer):
-            for op in trace:
+            for op in ops:
+                if record:
+                    trace.append(op)
                 self._exec_op(state, metrics, op)
         wall = wall_clock() - started
         exemplars = self._detach_overlay(state)

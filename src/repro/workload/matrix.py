@@ -42,7 +42,6 @@ from ..core.exceptions import StrategyError
 from ..network.delivery import plan_hit_rates
 from ..network.simulator import Network
 from ..obs import export as _obs_export
-from ..obs.profile import CELL_RUN, TOPOLOGY_BUILD, PhaseProfile, phase, profiling
 from ..obs.registry import CounterMap
 from ..obs.spans import SpanRecorder
 from ..simtime.model import TimeModelSpec
@@ -564,8 +563,8 @@ def run_cell(
     network: Optional[Network] = None,
     tracer: Optional[SpanRecorder] = None,
 ) -> Tuple[CellResult, WorkloadResult]:
-    """Execute one expanded cell (the sequential loop and every parallel
-    worker both land here, so the two paths cannot drift).
+    """Execute one expanded cell (called only from the one per-cell loop,
+    :func:`repro.exec.runner.run_cells`, and from cache warm-up replays).
 
     ``tracer`` collects the driver's span tree for this cell; spans are
     logical-clock stamped, so tracing never changes the cell's results.
@@ -594,25 +593,6 @@ def write_cell_trace(trace_dir, position: int, result: WorkloadResult) -> Path:
     path = directory / f"cell-{position:04d}.jsonl"
     result.trace.to_path(path)
     return path
-
-
-def shared_network_for(
-    networks: Dict[str, Network], spec: ScenarioSpec
-) -> Network:
-    """The per-topology shared network for ``spec``, built on first use.
-
-    The driver resets it before every run, so sharing never changes a
-    cell's metrics — it only amortizes the O(n²) routing construction and
-    keeps fault-free delivery-plan caches warm across same-topology cells.
-    """
-    network = networks.get(spec.topology)
-    if network is None:
-        with phase(TOPOLOGY_BUILD):
-            network = build_topology(spec.topology).build_network(
-                delivery_mode=spec.delivery_mode
-            )
-        networks[spec.topology] = network
-    return network
 
 
 def run_matrix(
@@ -660,9 +640,11 @@ def run_matrix(
     ``cache`` section.  ``pool`` is a live
     :class:`~repro.exec.pool.WarmPool` and implies parallel dispatch.
     """
-    if pool is not None or (workers is not None and workers != 1):
-        from ..exec.runner import run_matrix_parallel
+    from ..exec.runner import (  # local: repro.exec imports this module
+        ShardJob, _attach_run_sections, run_cells, run_matrix_parallel,
+    )
 
+    if pool is not None or (workers is not None and workers != 1):
         return run_matrix_parallel(
             matrix,
             workers=workers,
@@ -676,101 +658,35 @@ def run_matrix(
             pool=pool,
         )
     cells, skipped = matrix.expand()
-    run_profile = PhaseProfile("sequential") if profile else None
     obs_path = _obs_export.export_dir(obs_dir) if obs_dir is not None else None
-    shard_tracer = SpanRecorder() if obs_path is not None else None
-    networks: Dict[str, Network] = {}
     cell_results: List[CellResult] = []
-    results: List[WorkloadResult] = []
-    cache = runner = None
-    if cache_dir is not None:
-        from ..exec.cache import CellCache, IncrementalRunner
 
-        cache = CellCache(cache_dir)
-        runner = IncrementalRunner(
-            cache,
-            share_networks=share_networks,
-            reads=not (
-                keep_results or trace_dir is not None or obs_path is not None
-            ),
-        )
-    metrics_fp = None
-    try:
-        if obs_path is not None:
-            metrics_fp = open(
-                _obs_export.metrics_path(obs_path), "w", encoding="utf-8"
-            )
-        with profiling(run_profile):
-            shard_span = None
-            if shard_tracer is not None:
-                shard_span = shard_tracer.begin("shard", shard=0, cells=len(cells))
-            for position, cell in enumerate(cells):
-                if runner is not None:
-                    cached = runner.lookup(cell)
-                    if cached is not None:
-                        cell_results.append(cached)
-                        if progress is not None:
-                            progress(position + 1, len(cells))
-                        continue
-                network: Optional[Network] = None
-                if share_networks:
-                    network = shared_network_for(networks, cell.spec)
-                    if runner is not None:
-                        runner.warmup(cell, network)
-                cell_tracer = SpanRecorder() if obs_path is not None else None
-                with phase(CELL_RUN):
-                    cell_result, result = run_cell(
-                        cell, network=network, tracer=cell_tracer
-                    )
-                if runner is not None:
-                    runner.record(cell_result)
-                cell_results.append(cell_result)
-                if obs_path is not None:
-                    cell_tracer.to_path(
-                        _obs_export.cell_span_path(obs_path, position)
-                    )
-                    metrics_fp.write(_obs_export.dump_metrics_line(
-                        position,
-                        {
-                            "name": cell.spec.name,
-                            "topology": cell.topology,
-                            "strategy": cell.strategy,
-                            "regime": cell.regime,
-                        },
-                        result.metrics.registry,
-                    ))
-                    if result.exemplars:
-                        _obs_export.write_timelines(
-                            _obs_export.timeline_path(obs_path, position),
-                            result.exemplars,
-                        )
-                    shard_tracer.set_clock(float(position))
-                    shard_tracer.event(
-                        "cell-run", position=position, cell=cell.spec.name
-                    )
-                if trace_dir is not None:
-                    write_cell_trace(trace_dir, position, result)
-                if keep_results:
-                    results.append(result)
-                if progress is not None:
-                    progress(position + 1, len(cells))
-            if shard_tracer is not None:
-                shard_tracer.end(shard_span, cells=len(cells))
-                shard_tracer.to_path(_obs_export.shard_span_path(obs_path, 0))
-    finally:
-        if metrics_fp is not None:
-            metrics_fp.close()
+    def emit(position: int, cell_result: CellResult) -> None:
+        cell_results.append(cell_result)
+        if progress is not None:
+            progress(len(cell_results), len(cells))
+
+    job = ShardJob(
+        index=0,
+        cells=tuple(enumerate(cells)),
+        share_networks=share_networks,
+        keep_results=keep_results,
+        trace_dir=str(trace_dir) if trace_dir is not None else None,
+        obs_dir=str(obs_path) if obs_path is not None else None,
+        profile=profile,
+        cache_dir=str(cache_dir) if cache_dir is not None else None,
+    )
+    kept, run_profile, stats = run_cells(
+        job,
+        emit,
+        _obs_export.metrics_path(obs_path) if obs_path is not None else None,
+        "sequential",
+    )
     report = MatrixReport(matrix.to_dict(), cell_results, skipped)
-    if cache is not None:
-        report.attach_cache_stats(cache.stats())
-        if obs_path is not None:
-            _obs_export.write_cache_stats(
-                _obs_export.cache_stats_path(obs_path), cache.stats()
-            )
-    if run_profile is not None:
-        if obs_path is not None:
-            _obs_export.write_profiles(
-                _obs_export.profile_path(obs_path), [run_profile]
-            )
-        report.attach_profile(_obs_export.profiles_dict([run_profile]))
-    return report, results
+    _attach_run_sections(
+        report,
+        obs_path,
+        stats or None,
+        [run_profile] if run_profile is not None else [],
+    )
+    return report, [result for _, result in kept]

@@ -10,7 +10,10 @@ byte-identical between sequential and sharded runs, because file names key
 on grid position, not on which process executed the cell.
 """
 
+import dataclasses
 import json
+
+import pytest
 
 from repro.obs import export
 from repro.workload import (
@@ -37,6 +40,12 @@ MATRIX = MatrixSpec(
         arrival=ArrivalSpec(kind="poisson", rate=300.0),
     ),
 )
+
+
+#: One topology: plans to a single shard at any worker count, so the
+#: parallel engine runs that shard in-process.
+SINGLE = dataclasses.replace(MATRIX, name="obs-single",
+                             topologies=("complete:9",))
 
 
 def run_plain():
@@ -82,17 +91,35 @@ class TestDigestStability:
 class TestExportParity:
     """Sequential and sharded runs write the same cell-level artifacts."""
 
+    @pytest.mark.parametrize(
+        "matrix, worker_counts",
+        [(MATRIX, (2, 3)), (SINGLE, (4,))],
+        ids=["three-topologies", "single-topology"],
+    )
     def test_cell_files_are_byte_identical_across_worker_counts(
-        self, tmp_path
+        self, tmp_path, matrix, worker_counts
     ):
+        def run(obs_dir, workers=None):
+            report, _ = run_matrix(
+                matrix, workers=workers, obs_dir=obs_dir, profile=True,
+                cache_dir=obs_dir.with_name(obs_dir.name + "-cache"),
+            )
+            return report
+
         sequential_dir = tmp_path / "seq"
-        run_observed(sequential_dir)
-        for workers in (2, 3):
+        sequential = run(sequential_dir)
+        cells = len(sequential)
+        for workers in worker_counts:
             parallel_dir = tmp_path / f"w{workers}"
-            run_observed(parallel_dir, workers=workers)
+            parallel = run(parallel_dir, workers=workers)
+            assert parallel.digest() == sequential.digest()
+            for counter in ("hits", "stored"):
+                assert parallel.cache_stats[counter] == \
+                    sequential.cache_stats[counter]
+            assert sequential.cache_stats["stored"] == cells
             assert export.metrics_path(parallel_dir).read_bytes() == \
                 export.metrics_path(sequential_dir).read_bytes()
-            for position in range(12):
+            for position in range(cells):
                 cell = export.cell_span_path(sequential_dir, position)
                 assert cell.exists()
                 assert export.cell_span_path(
@@ -119,6 +146,15 @@ class TestExportParity:
             for p in export.load_profiles(export.profile_path(parallel_dir))
         ]
         assert labels == ["parent", "shard-0", "shard-1"]
+        # A one-shard plan runs in-process through the same spool and merge.
+        single_dir = tmp_path / "single"
+        run_matrix(SINGLE, workers=4, obs_dir=single_dir, profile=True)
+        labels = [
+            p.label
+            for p in export.load_profiles(export.profile_path(single_dir))
+        ]
+        assert labels == ["parent", "shard-0"]
+        assert (single_dir / export.MERGE_SPANS_FILE).exists()
 
     def test_merged_export_metrics_equal_the_report(self, tmp_path):
         obs_dir = tmp_path / "obs"

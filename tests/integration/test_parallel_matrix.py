@@ -10,6 +10,7 @@ traces) travel back from workers at all.
 """
 
 import json
+import multiprocessing
 import pickle
 
 import pytest
@@ -207,3 +208,46 @@ class TestProcessBoundaryPayloads:
         assert seen[-1] == (18, 18)
         counts = [done for done, _ in seen]
         assert counts == sorted(counts)
+
+
+class TestFailingCellIsLabelled:
+    """A cell that raises is reported by grid position and coordinates,
+    sequentially and from a worker process alike."""
+
+    @pytest.mark.parametrize("workers", [None, 2])
+    def test_error_names_the_failing_cell(self, monkeypatch, workers):
+        if workers is not None and \
+                multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched run_cell reaches workers only by fork")
+        import repro.exec.runner as runner_module
+
+        real_run_cell = runner_module.run_cell
+
+        def failing_run_cell(cell, **kwargs):
+            if cell.topology == "complete:9" and \
+                    cell.strategy == "centralized":
+                raise ValueError("boom")
+            return real_run_cell(cell, **kwargs)
+
+        monkeypatch.setattr(runner_module, "run_cell", failing_run_cell)
+        matrix = MatrixSpec(
+            name="failing",
+            topologies=("complete:9", "manhattan:3", "ring:8", "hypercube:3"),
+            strategies=("checkerboard", "centralized"),
+            base=BASE,
+        )
+        cells, _ = matrix.expand()
+        position, cell = next(
+            (i, cell) for i, cell in enumerate(cells)
+            if cell.topology == "complete:9" and cell.strategy == "centralized"
+        )
+        with pytest.raises(RuntimeError) as raised:
+            run_matrix(matrix, workers=workers)
+        message = str(raised.value)
+        assert message == (
+            f"matrix cell {position} (topology complete:9, strategy "
+            f"centralized, regime {cell.regime}) failed: ValueError: boom"
+        )
+        if workers is None:
+            assert isinstance(raised.value.__cause__, ValueError)
+        assert str(pickle.loads(pickle.dumps(raised.value))) == message
