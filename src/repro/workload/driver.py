@@ -559,13 +559,21 @@ class WorkloadDriver:
                     )
 
         def _ops() -> Iterator[TraceOp]:
+            """Every op in execution order, each appended to the trace
+            just before it executes."""
             for now, client_index in requests:
-                yield from _due(now)
+                for op in _due(now):
+                    trace.append(op)
+                    yield op
                 port_index = popularity_model.pick(popularity_rng, now)
-                yield TraceOp(REQUEST, now, (client_index, port_index))
-            yield from _due(float("inf"))
+                op = TraceOp(REQUEST, now, (client_index, port_index))
+                trace.append(op)
+                yield op
+            for op in _due(float("inf")):
+                trace.append(op)
+                yield op
 
-        return self._execute(state, metrics, _ops(), trace, tracer, True)
+        return self._execute(state, metrics, _ops(), trace, tracer)
 
     def replay(
         self, trace: Trace, tracer: Optional[SpanRecorder] = None
@@ -574,7 +582,7 @@ class WorkloadDriver:
         run — and so does the span stream, when ``tracer`` is given."""
         state = self._build_state()
         metrics = WorkloadMetrics(universe_size=len(self._nodes))
-        return self._execute(state, metrics, trace, trace, tracer, False)
+        return self._execute(state, metrics, trace, trace, tracer)
 
     def _execute(
         self,
@@ -583,18 +591,15 @@ class WorkloadDriver:
         ops: Iterable[TraceOp],
         trace: Trace,
         tracer: Optional[SpanRecorder],
-        record: bool,
     ) -> WorkloadResult:
         """Execute ``ops`` in order, the body :meth:`run` and :meth:`replay`
-        share; with ``record``, each op is appended to ``trace`` first."""
+        share; ``trace`` is the result's trace."""
         load_baseline = dict(state.network.stats.node_load)
         plan_baseline = dict(state.network.stats.plan_events)
         self._attach_overlay(state, metrics)
         started = wall_clock()  # feeds wall_seconds, which canonical_dict zeroes
         with tracing(tracer):
             for op in ops:
-                if record:
-                    trace.append(op)
                 self._exec_op(state, metrics, op)
         wall = wall_clock() - started
         exemplars = self._detach_overlay(state)
